@@ -26,6 +26,7 @@ from .errors import (
     CgDivergenceError,
     DenseCapError,
     FactorizationError,
+    InvalidDataError,
     InvalidSizeError,
     InvalidToleranceError,
     ModeMismatchError,
@@ -270,7 +271,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "solve":
             return _cmd_solve(args, parser)
         return _cmd_study(args)
-    except (InvalidSizeError, InvalidToleranceError) as exc:
+    except (InvalidSizeError, InvalidToleranceError, InvalidDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (

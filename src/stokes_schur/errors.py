@@ -5,6 +5,10 @@ class InvalidSizeError(ValueError):
     """Problem size n is too small to define the staggered grids."""
 
 
+class InvalidDataError(ValueError):
+    """Boundary data or a right-hand side holds NaN or infinite values."""
+
+
 class InvalidToleranceError(ValueError):
     """A cutoff or tolerance that must be positive was not."""
 

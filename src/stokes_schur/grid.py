@@ -32,7 +32,10 @@ SHIFTED = "shifted"
 
 @dataclass(frozen=True)
 class GridAxis:
-    """One 1D point set. kind is "aligned" (n-1 points) or "shifted" (n)."""
+    """One 1D point set. kind is "aligned" (n-1 points) or "shifted" (n).
+
+    coordinates is read-only: grids are shared through cached solve plans.
+    """
 
     kind: str
     count: int
@@ -82,8 +85,12 @@ def make_grid(n: int) -> StaggeredGrid:
     if n < 2:
         raise InvalidSizeError(f"problem size must be >= 2, got {n}")
     h = 1.0 / n
-    aligned = GridAxis(ALIGNED, n - 1, np.arange(1, n) * h)
-    shifted = GridAxis(SHIFTED, n, (np.arange(n) + 0.5) * h)
+    aligned_coords = np.arange(1, n) * h
+    shifted_coords = (np.arange(n) + 0.5) * h
+    aligned_coords.flags.writeable = False
+    shifted_coords.flags.writeable = False
+    aligned = GridAxis(ALIGNED, n - 1, aligned_coords)
+    shifted = GridAxis(SHIFTED, n, shifted_coords)
     return StaggeredGrid(
         n=n,
         h=h,

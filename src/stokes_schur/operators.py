@@ -18,7 +18,7 @@ Scale convention: entries carry the physical 1/h (1/h^2 in Laplacians); the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,7 +34,7 @@ FULL = "full"
 class OperatorSet:
     """All assembled operators for one grid and one perturbation mode.
 
-    Matrices are CSR and must be treated as immutable once built.
+    Matrices are CSR; build_operator_set makes their arrays read-only.
     """
 
     grid: StaggeredGrid
@@ -61,6 +61,17 @@ class OperatorSet:
     def extracted_indices(self) -> np.ndarray:
         """Velocity flat indices selected by the rows of U, in row order."""
         return self.U.indices.copy()
+
+    def _arrays(self) -> list:
+        mats = [getattr(self, f.name) for f in fields(self)]
+        return [
+            a for m in mats if sp.issparse(m) for a in (m.data, m.indices, m.indptr)
+        ]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the arrays of every matrix in the set."""
+        return sum(a.nbytes for a in self._arrays())
 
 
 def derivative_1d(n: int, h: float) -> sp.csr_matrix:
@@ -243,7 +254,7 @@ def build_operator_set(grid: StaggeredGrid, mode: str = BOUNDARY) -> OperatorSet
     scale = 2.0 / (grid.h * grid.h)
     a_d = (a_n + scale * i_pert).tocsr()
     a_d.eliminate_zeros()
-    return OperatorSet(
+    ops = OperatorSet(
         grid=grid,
         mode=mode,
         B1d=d1,
@@ -259,3 +270,6 @@ def build_operator_set(grid: StaggeredGrid, mode: str = BOUNDARY) -> OperatorSet
         U=u,
         r=r,
     )
+    for a in ops._arrays():
+        a.flags.writeable = False
+    return ops

@@ -13,6 +13,12 @@ velocity is recovered from A u = f - B^T p through the same sparse LU
 factorization.  The zero continuity right-hand side encodes exact
 no-penetration walls; nonzero normal data is outside this problem class.
 
+Everything that depends only on (n, mode) -- the operators, the momentum LU
+of each BVP family and each preconditioner's structured form -- lives in a
+StokesPlan, whose pieces are built on first use and which a small cache
+keeps across requests (see PlanCache); the boundary data is the only
+per-request input.
+
 Boundary data enters the momentum right-hand side by ghost-node elimination:
 a tangential wall value g contributes (2/h^2) g at the wall-adjacent interior
 node for Dirichlet data and (1/h) g for Neumann data.  The classic test flow,
@@ -21,20 +27,28 @@ a lid sliding over a closed box, is just u = 1 on the top wall.
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import json
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.sparse.linalg import splu
 
-from .errors import FactorizationError, InvalidSizeError
+from .errors import (
+    FactorizationError,
+    InvalidDataError,
+    InvalidSizeError,
+    ModeMismatchError,
+)
 from .grid import StaggeredGrid, make_grid
 from .linalg import CgOptions, CgResult, cg_solve
 from .operators import BOUNDARY, FULL, OperatorSet, build_operator_set
 from .schur import (
+    SchurRep,
     build_limiting_inverse,
     build_schur_dirichlet_inverse,
     build_schur_neumann,
@@ -56,6 +70,16 @@ PRECONDITIONERS = (
 )
 
 BoundaryData = Union[None, float, Sequence[float], Callable[[np.ndarray], np.ndarray]]
+
+# Plan cache policy: a plan is kept once its (n, mode) is missed twice within
+# the last PLAN_WINDOW misses, and the kept plans hold at most PLAN_CACHE_BYTES.
+# Keeping every plan instead fragments the heap on streams that never reuse
+# one (evicted SuperLU factors at n = 96 are about 18 MB each).
+PLAN_CACHE_BYTES = 32 * 2**20
+PLAN_WINDOW = 16
+# SuperLU stores a double and an int row index per entry; lu.nnz counts the
+# supernodal storage without copying L and U out the way lu.L and lu.U do.
+LU_ENTRY_BYTES = 12
 
 
 @dataclass(frozen=True)
@@ -90,7 +114,7 @@ def lid_driven_cavity(bvp: str = DIRICHLET, mode: str = BOUNDARY) -> BvpConfig:
     return BvpConfig(bvp=bvp, mode=mode, u_top=1.0)
 
 
-def _segment_values(data: BoundaryData, coords: np.ndarray) -> np.ndarray:
+def _segment_values(data: BoundaryData, coords: np.ndarray, wall: str) -> np.ndarray:
     if data is None:
         return np.zeros(coords.size)
     if callable(data):
@@ -103,8 +127,10 @@ def _segment_values(data: BoundaryData, coords: np.ndarray) -> np.ndarray:
         vals = np.full(coords.size, float(vals))
     if vals.shape != coords.shape:
         raise InvalidSizeError(
-            f"boundary data has shape {vals.shape}, wall needs {coords.shape}"
+            f"{wall} data has shape {vals.shape}, wall needs {coords.shape}"
         )
+    if not np.isfinite(vals).all():
+        raise InvalidDataError(f"{wall} data holds NaN or infinite values")
     return vals
 
 
@@ -120,11 +146,27 @@ def build_rhs(grid: StaggeredGrid, config: BvpConfig) -> np.ndarray:
     along = grid.aligned.coordinates
     f = np.zeros(grid.dim_velocity)
     fu = f[: grid.dim_u].reshape(grid.shape_u)
-    fu[0, :] += scale * _segment_values(config.u_bottom, along)
-    fu[-1, :] += scale * _segment_values(config.u_top, along)
+    fu[0, :] += scale * _segment_values(config.u_bottom, along, "u_bottom")
+    fu[-1, :] += scale * _segment_values(config.u_top, along, "u_top")
     fv = f[grid.dim_u :].reshape(grid.shape_v)
-    fv[:, 0] += scale * _segment_values(config.v_left, along)
-    fv[:, -1] += scale * _segment_values(config.v_right, along)
+    fv[:, 0] += scale * _segment_values(config.v_left, along, "v_left")
+    fv[:, -1] += scale * _segment_values(config.v_right, along, "v_right")
+    return f
+
+
+def _momentum_rhs(
+    grid: StaggeredGrid, config: BvpConfig, f_h: Optional[np.ndarray]
+) -> np.ndarray:
+    if f_h is None:
+        return build_rhs(grid, config)
+    f = np.asarray(f_h, dtype=float)
+    if f.shape != (grid.dim_velocity,):
+        raise InvalidSizeError(
+            f"momentum right-hand side has shape {f.shape}, "
+            f"expected ({grid.dim_velocity},)"
+        )
+    if not np.isfinite(f).all():
+        raise InvalidDataError("momentum right-hand side holds NaN or infinite values")
     return f
 
 
@@ -132,6 +174,16 @@ def make_preconditioner(
     name: str, ops: OperatorSet
 ) -> Optional[Callable[[np.ndarray], np.ndarray]]:
     """Resolve a preconditioner name to an apply callable (None for none).
+
+    The structured form comes from the cached plan built around ops when
+    one is resident, and is built for this call otherwise.
+    """
+    rep = _plan_around(ops).preconditioner(name)
+    return None if rep is None else rep.apply
+
+
+def _build_preconditioner(name: str, ops: OperatorSet) -> Optional[SchurRep]:
+    """The structured Schur form behind a preconditioner name.
 
     The limiting formula needs an identity perturbation, so when ops was
     built in boundary mode the full-mode operators are assembled just for
@@ -141,13 +193,20 @@ def make_preconditioner(
     if name == PRECOND_NONE:
         return None
     if name == PRECOND_PROJECTOR:
-        return build_schur_neumann(ops.grid).apply
+        return build_schur_neumann(ops.grid)
     if name == PRECOND_RANK_R:
-        return build_schur_dirichlet_inverse(ops.grid, ops).apply
+        return build_schur_dirichlet_inverse(ops.grid, ops)
     if name == PRECOND_LIMITING:
         limit_ops = ops if ops.r == ops.grid.dim_velocity else None
-        return build_limiting_inverse(ops.grid, limit_ops).apply
+        return build_limiting_inverse(ops.grid, limit_ops)
     raise ValueError(f"unknown preconditioner {name!r}")
+
+
+def _rep_arrays(rep: SchurRep) -> list:
+    arrays = [rep.base, rep.factor, rep.kernel, rep.pressure_laplacian_pinv]
+    if rep.kernel_factor is not None:
+        arrays.append(rep.kernel_factor[0])
+    return [a for a in arrays if a is not None]
 
 
 @dataclass(frozen=True)
@@ -200,6 +259,232 @@ def _resolve_precond_name(preconditioner: str, bvp: str) -> str:
     return PRECOND_RANK_R if bvp == DIRICHLET else PRECOND_PROJECTOR
 
 
+@dataclass(frozen=True, eq=False)
+class StokesPlan:
+    """Everything a solve needs that depends only on (n, mode).
+
+    ops is assembled up front; the momentum LU of each BVP family and the
+    structured form of each named preconditioner are built on first use
+    and kept.  Pieces are stored only once fully built, so a request that
+    raises leaves no half-built piece behind, and every array a plan holds
+    is read-only, so one plan serves many requests.  A plan built by a
+    PlanCache reports each new piece to it, keeping the cache's byte bound
+    as plans grow.
+    """
+
+    ops: OperatorSet
+    cache: Optional["PlanCache"] = field(default=None, repr=False)
+    _pieces: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def grid(self) -> StaggeredGrid:
+        return self.ops.grid
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the operators and of every piece built so far.
+
+        Each piece is sized once, when it is built.
+        """
+        # list() copies the values in one step, safe against a concurrent build
+        return self.ops.nbytes + sum(size for _, size in list(self._pieces.values()))
+
+    def _piece(self, key: tuple, build: Callable[[], tuple]):
+        entry = self._pieces.get(key)
+        if entry is None:
+            # two threads may both build; the first stored piece wins
+            entry = self._pieces.setdefault(key, build())
+            if self.cache is not None:
+                self.cache.trim()
+        return entry[0]
+
+    def momentum_lu(self, bvp: str):
+        """Sparse LU of A_D (Dirichlet) or A_N (Neumann), built once."""
+
+        def build():
+            a = self.ops.A_D if bvp == DIRICHLET else self.ops.A_N
+            try:
+                lu = splu(a.tocsc())
+            except RuntimeError as exc:
+                raise FactorizationError(
+                    f"LU of the momentum block failed: {exc}"
+                ) from exc
+            return lu, lu.nnz * LU_ENTRY_BYTES
+
+        return self._piece(("lu", bvp), build)
+
+    def preconditioner(self, name: str) -> Optional[SchurRep]:
+        """Structured Schur form behind a preconditioner name (None for none)."""
+
+        def build():
+            rep = _build_preconditioner(name, self.ops)
+            if rep is None:
+                return None, 0
+            arrays = _rep_arrays(rep)
+            for a in arrays:
+                a.flags.writeable = False
+            return rep, sum(a.nbytes for a in arrays)
+
+        return self._piece(("precond", name), build)
+
+    def solve(
+        self,
+        config: BvpConfig,
+        f_h: Optional[np.ndarray] = None,
+        cg_options: Optional[CgOptions] = None,
+        preconditioner: str = "auto",
+    ) -> SaddleSolution:
+        """Solve the enclosed Stokes problem of config on this plan's grid.
+
+        f_h overrides the momentum right-hand side; by default it is built
+        from the boundary data in config.
+        """
+        ops = self.ops
+        grid = ops.grid
+        if config.mode != ops.mode:
+            raise ModeMismatchError(
+                f"config mode {config.mode!r} does not match operators {ops.mode!r}"
+            )
+        f = _momentum_rhs(grid, config, f_h)
+        name = _resolve_precond_name(preconditioner, config.bvp)
+        rep = self.preconditioner(name)
+        lu = self.momentum_lu(config.bvp)
+        a = ops.A_D if config.bvp == DIRICHLET else ops.A_N
+        b = ops.B
+        bt = b.T  # each .T builds a new matrix object; take it once
+
+        e = np.full(grid.dim_p, grid.h)
+
+        def project(x: np.ndarray) -> np.ndarray:
+            return x - e * float(e @ x)
+
+        def apply_schur(p: np.ndarray) -> np.ndarray:
+            return b @ lu.solve(bt @ p)
+
+        rhs = b @ lu.solve(f)
+        result: CgResult = cg_solve(
+            apply_schur,
+            rhs,
+            options=cg_options or CgOptions(),
+            project=project,
+            precond=None if rep is None else rep.apply,
+        )
+        p = result.x
+        vel = lu.solve(f - bt @ p)
+
+        norm_f = float(np.linalg.norm(f)) or 1.0
+        res_mom = float(np.linalg.norm(a @ vel + bt @ p - f))
+        res_div = float(np.linalg.norm(b @ vel))
+        return SaddleSolution(
+            grid=grid,
+            bvp=config.bvp,
+            mode=config.mode,
+            preconditioner=name,
+            u=vel[: grid.dim_u],
+            v=vel[grid.dim_u :],
+            p=p,
+            schur_iters=result.iterations,
+            converged=result.converged,
+            final_rel_residual=result.final_rel_residual,
+            coupled_residual=max(res_mom, res_div) / norm_f,
+            divergence_norm=res_div,
+            history=list(result.history),
+        )
+
+
+class PlanCache:
+    """Plans by (n, mode): admitted on a second sighting, LRU bounded in bytes.
+
+    Every miss builds a plan.  The plan is kept only when its key was also
+    missed within the last `window` misses, so a stream that never repeats
+    a key holds no factorization past its request.  Kept plans form an LRU
+    whose summed nbytes stays at or below max_bytes: a plan larger than the
+    bound when it would be admitted is not admitted, and a kept plan that
+    grows pushes the least recently used plans out, itself last.
+    """
+
+    def __init__(self, max_bytes: int = PLAN_CACHE_BYTES, window: int = PLAN_WINDOW):
+        self.max_bytes = max_bytes
+        self._recent: collections.deque = collections.deque(maxlen=window)
+        self._plans: collections.OrderedDict = collections.OrderedDict()
+        self._lock = threading.Lock()
+        self._counts = dict.fromkeys(("hits", "misses", "admissions", "evictions"), 0)
+
+    def get(self, n: int, mode: str = BOUNDARY) -> StokesPlan:
+        """The resident plan of (n, mode), or a new one built now."""
+        key = (n, mode)
+        with self._lock:
+            plan = self._plans.get(key)
+            if plan is not None:
+                self._plans.move_to_end(key)
+                self._counts["hits"] += 1
+                return plan
+            self._counts["misses"] += 1
+            seen = key in self._recent
+            self._recent.append(key)
+        plan = StokesPlan(build_operator_set(make_grid(n), mode), cache=self)
+        if seen:
+            with self._lock:
+                if key not in self._plans and plan.nbytes <= self.max_bytes:
+                    self._plans[key] = plan
+                    self._counts["admissions"] += 1
+        return plan
+
+    def holding(self, ops: OperatorSet) -> Optional[StokesPlan]:
+        """The resident plan built around exactly these operators, if any."""
+        with self._lock:
+            plan = self._plans.get((ops.grid.n, ops.mode))
+        return plan if plan is not None and plan.ops is ops else None
+
+    def _resident_bytes(self) -> int:
+        return sum(plan.nbytes for plan in self._plans.values())
+
+    def trim(self) -> None:
+        """Evict least recently used plans until the byte bound holds."""
+        with self._lock:
+            while self._plans and self._resident_bytes() > self.max_bytes:
+                self._plans.popitem(last=False)
+                self._counts["evictions"] += 1
+
+    def info(self) -> dict:
+        """Hits, misses, admissions, evictions, resident plans and bytes."""
+        with self._lock:
+            return dict(
+                self._counts,
+                plans=len(self._plans),
+                resident_bytes=self._resident_bytes(),
+            )
+
+    def clear(self) -> None:
+        """Drop every plan and sighting and zero the counters."""
+        with self._lock:
+            self._plans.clear()
+            self._recent.clear()
+            self._counts = dict.fromkeys(self._counts, 0)
+
+
+_PLAN_CACHE = PlanCache()
+
+
+def plan_for(n: int, mode: str = BOUNDARY) -> StokesPlan:
+    """The solve plan of problem size n in the given mode, cached by policy."""
+    return _PLAN_CACHE.get(n, mode)
+
+
+def plan_cache_info() -> dict:
+    """Counters and resident bytes of the process-wide plan cache."""
+    return _PLAN_CACHE.info()
+
+
+def plan_cache_clear() -> None:
+    """Empty the process-wide plan cache."""
+    _PLAN_CACHE.clear()
+
+
+def _plan_around(ops: OperatorSet) -> StokesPlan:
+    return _PLAN_CACHE.holding(ops) or StokesPlan(ops)
+
+
 def solve_stokes_with_ops(
     ops: OperatorSet,
     config: BvpConfig,
@@ -207,67 +492,12 @@ def solve_stokes_with_ops(
     cg_options: Optional[CgOptions] = None,
     preconditioner: str = "auto",
 ) -> SaddleSolution:
-    """Solve on an already assembled operator set (see solve_stokes)."""
-    grid = ops.grid
-    if config.mode != ops.mode:
-        raise ValueError(
-            f"config mode {config.mode!r} does not match operators {ops.mode!r}"
-        )
-    if f_h is None:
-        f = build_rhs(grid, config)
-    else:
-        f = np.asarray(f_h, dtype=float)
-        if f.shape != (grid.dim_velocity,):
-            raise InvalidSizeError(
-                f"momentum right-hand side has shape {f.shape}, "
-                f"expected ({grid.dim_velocity},)"
-            )
-    name = _resolve_precond_name(preconditioner, config.bvp)
-    precond = make_preconditioner(name, ops)
-    a = ops.A_D if config.bvp == DIRICHLET else ops.A_N
-    try:
-        lu = splu(a.tocsc())
-    except RuntimeError as exc:
-        raise FactorizationError(f"LU of the momentum block failed: {exc}") from exc
-    b = ops.B
+    """Solve on an already assembled operator set (see solve_stokes).
 
-    e = np.full(grid.dim_p, grid.h)
-
-    def project(x: np.ndarray) -> np.ndarray:
-        return x - e * float(e @ x)
-
-    def apply_schur(p: np.ndarray) -> np.ndarray:
-        return b @ lu.solve(b.T @ p)
-
-    rhs = b @ lu.solve(f)
-    result: CgResult = cg_solve(
-        apply_schur,
-        rhs,
-        options=cg_options or CgOptions(),
-        project=project,
-        precond=precond,
-    )
-    p = result.x
-    vel = lu.solve(f - b.T @ p)
-
-    norm_f = float(np.linalg.norm(f)) or 1.0
-    res_mom = float(np.linalg.norm(a @ vel + b.T @ p - f))
-    res_div = float(np.linalg.norm(b @ vel))
-    return SaddleSolution(
-        grid=grid,
-        bvp=config.bvp,
-        mode=config.mode,
-        preconditioner=name,
-        u=vel[: grid.dim_u],
-        v=vel[grid.dim_u :],
-        p=p,
-        schur_iters=result.iterations,
-        converged=result.converged,
-        final_rel_residual=result.final_rel_residual,
-        coupled_residual=max(res_mom, res_div) / norm_f,
-        divergence_norm=res_div,
-        history=list(result.history),
-    )
+    Reuses the cached plan only when it was built around exactly these
+    operators; otherwise the LU and preconditioner are built for this call.
+    """
+    return _plan_around(ops).solve(config, f_h, cg_options, preconditioner)
 
 
 def solve_stokes(
@@ -277,13 +507,15 @@ def solve_stokes(
     cg_options: Optional[CgOptions] = None,
     preconditioner: str = "auto",
 ) -> SaddleSolution:
-    """Assemble and solve the enclosed Stokes problem on the given grid.
+    """Solve the enclosed Stokes problem on the given grid.
 
-    f_h overrides the momentum right-hand side; by default it is built from
-    the boundary data in config.
+    The operators, momentum LU and preconditioner come from the plan of
+    (grid.n, config.mode) (see plan_for).  f_h overrides the momentum
+    right-hand side; by default it is built from the boundary data in
+    config.
     """
-    ops = build_operator_set(grid, config.mode)
-    return solve_stokes_with_ops(ops, config, f_h, cg_options, preconditioner)
+    plan = plan_for(grid.n, config.mode)
+    return solve_stokes_with_ops(plan.ops, config, f_h, cg_options, preconditioner)
 
 
 @dataclass(frozen=True)
@@ -340,12 +572,9 @@ def iteration_study(
             raise ValueError(f"unknown preconditioner {name!r}")
     rows = []
     for n in ns:
-        grid = make_grid(n)
-        ops = build_operator_set(grid, cfg.mode)
+        plan = plan_for(n, cfg.mode)
         for name in names:
-            sol = solve_stokes_with_ops(
-                ops, cfg, cg_options=cg_options, preconditioner=name
-            )
+            sol = plan.solve(cfg, cg_options=cg_options, preconditioner=name)
             rows.append(
                 StudyRow(
                     n=n,

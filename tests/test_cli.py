@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 import scipy.io
 
+from stokes_schur import cli
+from stokes_schur.errors import InvalidDataError
 from stokes_schur.grid import make_grid
 from stokes_schur.operators import build_operator_set
 from stokes_schur.schur import build_schur_neumann
@@ -193,6 +195,16 @@ def test_solve_at_rest_is_identically_zero():
 
 def test_solve_rejects_multiple_sizes():
     assert run_cli("solve", "--n", "4,8", "--cavity").returncode == 2
+
+
+def test_non_finite_data_exits_2(monkeypatch, capsys):
+    # no flag carries wall data yet, so the library error is injected
+    def non_finite(grid, config):
+        raise InvalidDataError("u_top data holds NaN or infinite values")
+
+    monkeypatch.setattr(cli, "solve_stokes", non_finite)
+    assert cli.main(["solve", "--n", "4"]) == 2
+    assert capsys.readouterr().err == "error: u_top data holds NaN or infinite values\n"
 
 
 def test_solve_neumann_cavity():

@@ -1,12 +1,15 @@
 """Boundary data, saddle solves, preconditioner study, output formatting."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from stokes_schur import schur
 from stokes_schur import solver as sv
-from stokes_schur.errors import InvalidSizeError
+from stokes_schur.errors import InvalidDataError, InvalidSizeError
 from stokes_schur.grid import make_grid
 from stokes_schur.linalg import CgOptions
 from stokes_schur.operators import BOUNDARY, FULL, build_operator_set
@@ -337,3 +340,275 @@ def test_field_views_match_flat_vectors():
     np.testing.assert_array_equal(
         sol.velocity, np.concatenate([sol.u, sol.v])
     )
+
+
+# --- solve plans and the plan cache -------------------------------------
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """Swap the process-wide plan cache for an empty one for one test."""
+    cache = sv.PlanCache()
+    monkeypatch.setattr(sv, "_PLAN_CACHE", cache)
+    return cache
+
+
+def _walls(n):
+    s = np.arange(1, n) / n
+    return {
+        "u_top": 1.0,
+        "u_bottom": np.sin(np.pi * s),
+        "v_left": lambda y: y * (1 - y),
+    }
+
+
+def _cold_solve(n, config, preconditioner="auto", f_h=None):
+    # a plan built here is never seen by any cache
+    plan = sv.StokesPlan(build_operator_set(make_grid(n), config.mode))
+    return plan.solve(config, f_h, CgOptions(rel_tol=1e-10), preconditioner)
+
+
+def _assert_same_solution(a, b):
+    for name in ("u", "v", "p"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert a.schur_iters == b.schur_iters
+    assert a.history == b.history
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("mode", [BOUNDARY, FULL])
+def test_plan_cache_hit_is_bitwise_a_cold_solve(fresh_cache, n, mode):
+    # both BVP families and every preconditioner share one cached plan
+    grid = make_grid(n)
+    opts = CgOptions(rel_tol=1e-10)
+    for bvp in sv.BVPS:
+        config = sv.BvpConfig(bvp=bvp, mode=mode, **_walls(n))
+        for name in sv.PRECONDITIONERS:
+            cold = _cold_solve(n, config, name)
+            for _ in range(3):
+                sol = sv.solve_stokes(
+                    grid, config, cg_options=opts, preconditioner=name
+                )
+                _assert_same_solution(sol, cold)
+            if bvp == sv.DIRICHLET and name == sv.PRECOND_RANK_R:
+                assert sol.schur_iters == 1
+    info = sv.plan_cache_info()
+    # the plan is admitted on the second request and serves every later one
+    assert (info["misses"], info["admissions"]) == (2, 1)
+    assert info["hits"] == 3 * len(sv.BVPS) * len(sv.PRECONDITIONERS) - 2
+
+
+def test_non_finite_wall_data_is_a_typed_error():
+    g = make_grid(8)
+    with pytest.raises(InvalidDataError, match="u_top"):
+        sv.build_rhs(g, sv.BvpConfig(u_top=float("nan")))
+    with pytest.raises(InvalidDataError):
+        sv.solve_stokes(g, sv.BvpConfig(u_top=float("nan")))
+    with pytest.raises(InvalidDataError, match="v_right"):
+        sv.solve_stokes(g, sv.BvpConfig(bvp=sv.NEUMANN, v_right=float("inf")))
+    with pytest.raises(InvalidDataError):
+        sv.solve_stokes(g, sv.BvpConfig(v_left=lambda y: np.full_like(y, np.inf)))
+
+
+def test_non_finite_rhs_is_a_typed_error():
+    g = make_grid(8)
+    with pytest.raises(InvalidDataError):
+        sv.solve_stokes(g, sv.lid_driven_cavity(), f_h=np.full(g.dim_velocity, np.nan))
+    ops = build_operator_set(g)
+    f = sv.build_rhs(g, sv.lid_driven_cavity())
+    f[3] = np.inf
+    with pytest.raises(InvalidDataError):
+        sv.solve_stokes_with_ops(ops, sv.lid_driven_cavity(), f_h=f)
+
+
+def test_raising_request_leaves_no_half_built_plan(fresh_cache):
+    n = 6
+    grid = make_grid(n)
+    good = sv.lid_driven_cavity()
+    bad = sv.BvpConfig(u_top=float("nan"))
+    nan_rhs = np.full(grid.dim_velocity, np.nan)
+    cold = _cold_solve(n, good)
+    opts = CgOptions(rel_tol=1e-10)
+    # the raising request is the second sighting, so it is the one admitted
+    sv.solve_stokes(grid, good, cg_options=opts)
+    with pytest.raises(InvalidDataError):
+        sv.solve_stokes(grid, good, f_h=nan_rhs, cg_options=opts)
+    assert sv.plan_cache_info()["admissions"] == 1
+    with pytest.raises(InvalidDataError):
+        sv.solve_stokes(grid, bad, cg_options=opts)
+    _assert_same_solution(sv.solve_stokes(grid, good, cg_options=opts), cold)
+    assert sv.plan_cache_info()["hits"] == 2
+
+
+def test_grid_coordinates_are_read_only():
+    g = make_grid(4)
+    for coords in (g.aligned.coordinates, g.shifted.coordinates):
+        with pytest.raises(ValueError):
+            coords[0] = 5.0
+
+
+def test_cached_plan_arrays_are_read_only(fresh_cache):
+    grid = make_grid(4)
+    for _ in range(2):
+        sol = sv.solve_stokes(grid, sv.lid_driven_cavity())
+    plan = sv.plan_for(4, BOUNDARY)
+    assert sv.plan_cache_info()["hits"] == 1
+    assert sol.grid is plan.grid
+    rep = plan.preconditioner(sv.PRECOND_RANK_R)
+    arrays = (
+        plan.ops.B.data,
+        plan.ops.A_D.indices,
+        rep.factor,
+        rep.kernel,
+        rep.kernel_factor[0],
+    )
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    with pytest.raises(ValueError):
+        sol.grid.aligned.coordinates[0] = 1.0
+
+
+def _export_like_keys(count):
+    # cavity-export-large's pattern: sizes in a spread order, Neumann
+    # requests in full mode and Dirichlet in boundary mode, no key repeating
+    sizes = [4 + (7 * i) % count for i in range(count)]
+    return [(n, FULL if i % 2 == 0 else BOUNDARY) for i, n in enumerate(sizes)]
+
+
+def test_distinct_keys_are_never_admitted(fresh_cache):
+    keys = _export_like_keys(24)
+    assert len(set(keys)) == len(keys)
+    for n, mode in keys:
+        bvp = sv.NEUMANN if mode == FULL else sv.DIRICHLET
+        sv.solve_stokes(make_grid(n), sv.lid_driven_cavity(bvp=bvp, mode=mode))
+    info = sv.plan_cache_info()
+    assert info["resident_bytes"] == 0
+    assert (info["misses"], info["admissions"], info["hits"]) == (24, 0, 0)
+
+
+def test_key_seen_twice_is_admitted_then_hits(fresh_cache):
+    grid = make_grid(5)
+    for _ in range(4):
+        sv.solve_stokes(grid, sv.lid_driven_cavity())
+    info = sv.plan_cache_info()
+    assert (info["misses"], info["admissions"], info["hits"]) == (2, 1, 2)
+    assert info["plans"] == 1 and info["resident_bytes"] > 0
+    sv.plan_cache_clear()
+    assert sv.plan_cache_info() == dict.fromkeys(info, 0)
+
+
+def _built_plan_bytes(n):
+    plan = sv.StokesPlan(build_operator_set(make_grid(n)))
+    plan.solve(sv.lid_driven_cavity())
+    return plan.nbytes
+
+
+def test_resident_bytes_never_exceed_the_bound(monkeypatch):
+    sizes = (4, 5, 6, 7)
+    bound = _built_plan_bytes(6) + _built_plan_bytes(7)  # room for two plans
+    cache = sv.PlanCache(max_bytes=bound)
+    monkeypatch.setattr(sv, "_PLAN_CACHE", cache)
+    for i in range(5 * len(sizes)):
+        n = sizes[i % len(sizes)]
+        sv.solve_stokes(make_grid(n), sv.lid_driven_cavity())
+        assert cache.info()["resident_bytes"] <= bound
+    info = cache.info()
+    assert info["admissions"] > 0 and info["evictions"] > 0
+
+
+def test_plan_larger_than_the_bound_is_never_admitted(monkeypatch):
+    ops_bytes = build_operator_set(make_grid(6)).nbytes
+    cache = sv.PlanCache(max_bytes=ops_bytes - 1)
+    monkeypatch.setattr(sv, "_PLAN_CACHE", cache)
+    for _ in range(3):
+        sv.solve_stokes(make_grid(6), sv.lid_driven_cavity())
+    info = cache.info()
+    assert (info["admissions"], info["hits"], info["resident_bytes"]) == (0, 0, 0)
+
+
+def test_plan_that_outgrows_the_bound_is_evicted(monkeypatch):
+    # admitted with its operators alone, then pushed out by its own LU
+    ops_bytes = build_operator_set(make_grid(6)).nbytes
+    cache = sv.PlanCache(max_bytes=ops_bytes)
+    monkeypatch.setattr(sv, "_PLAN_CACHE", cache)
+    for _ in range(2):
+        sv.solve_stokes(make_grid(6), sv.lid_driven_cavity())
+    info = cache.info()
+    assert (info["admissions"], info["evictions"], info["resident_bytes"]) == (1, 1, 0)
+
+
+def test_cache_bookkeeping_holds_under_threads(fresh_cache):
+    sizes = (4, 5, 6)
+    cold = {n: _cold_solve(n, sv.lid_driven_cavity()) for n in sizes}
+    opts = CgOptions(rel_tol=1e-10)
+    errors = []
+
+    def client(k):
+        try:
+            for i in range(12):
+                n = sizes[(i + k) % len(sizes)]
+                sol = sv.solve_stokes(
+                    make_grid(n), sv.lid_driven_cavity(), cg_options=opts
+                )
+                _assert_same_solution(sol, cold[n])
+        except Exception as exc:  # reported below; a thread cannot fail the test
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=client, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    info = sv.plan_cache_info()
+    assert info["hits"] + info["misses"] == 4 * 12
+    assert info["plans"] == len(sizes)
+    assert info["resident_bytes"] <= sv.PLAN_CACHE_BYTES
+
+
+def test_cold_builds_and_hits_reach_the_traced_layers(fresh_cache, monkeypatch):
+    # the benchmark's tracer rebinds these module attributes; a cold build
+    # must go through each of them and a cache hit through none
+    calls = {}
+
+    def counting(owner, attr):
+        real = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr, owner.__name__] = calls.get((attr, owner.__name__), 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    for owner, attr in (
+        (sv, "splu"),
+        (sv, "build_operator_set"),
+        (sv, "build_schur_dirichlet_inverse"),
+        (schur, "splu"),
+        (sv, "solve_stokes_with_ops"),
+    ):
+        counting(owner, attr)
+    grid = make_grid(8)
+    config = sv.lid_driven_cavity()
+    builds = {
+        ("splu", sv.__name__): 1,
+        ("build_operator_set", sv.__name__): 1,
+        ("build_schur_dirichlet_inverse", sv.__name__): 1,
+        ("splu", schur.__name__): 1,
+        ("solve_stokes_with_ops", sv.__name__): 1,
+    }
+    for _ in range(2):  # the cold miss, then the admitting miss
+        calls.clear()
+        sol = sv.solve_stokes(grid, config, preconditioner=sv.PRECOND_RANK_R)
+        assert calls == builds
+    calls.clear()
+    sv.solve_stokes(grid, config, preconditioner=sv.PRECOND_RANK_R)
+    assert calls == {("solve_stokes_with_ops", sv.__name__): 1}
+    assert sol.schur_iters == 1
